@@ -1,7 +1,10 @@
 package concolic
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -383,4 +386,122 @@ func TestPathCondAfterStmt(t *testing.T) {
 	if len(before) != 1 {
 		t.Errorf("conds before stmt 0 = %d", len(before))
 	}
+}
+
+// hereBoth captures the caller's stack twice from the same PCs: once
+// through Here (and its cache) and once by resolving the raw PCs
+// directly. Both skip hereBoth itself, so they see identical PCs.
+//
+//go:noinline
+func hereBoth() (cached, fresh trace.CodeLoc) {
+	cached = Here(2)
+	var pcs [hereDepth]uintptr
+	n := runtime.Callers(2, pcs[:])
+	return cached, resolveStack(pcs[:n])
+}
+
+// recurseHere descends depth frames inside this test file before
+// capturing, so deep stacks fill and overflow Here's raw-frame window.
+//
+//go:noinline
+func recurseHere(depth int) (cached, fresh trace.CodeLoc) {
+	if depth == 0 {
+		return hereBoth()
+	}
+	return recurseHere(depth - 1)
+}
+
+func TestHereCacheMatchesResolve(t *testing.T) {
+	check := func(name string, cached, fresh trace.CodeLoc) {
+		t.Helper()
+		if len(fresh.Frames) == 0 {
+			t.Fatalf("%s: resolution found no application frame", name)
+		}
+		if !reflect.DeepEqual(cached, fresh) {
+			t.Errorf("%s: cached %v != resolved %v", name, cached, fresh)
+		}
+	}
+
+	// Distinct call sites in one function resolve to distinct lines.
+	c1, f1 := hereBoth()
+	c2, f2 := hereBoth()
+	check("site 1", c1, f1)
+	check("site 2", c2, f2)
+	if c1.Top().Line == c2.Top().Line {
+		t.Errorf("distinct call sites share line %d", c1.Top().Line)
+	}
+
+	// Repeated hits from one site return the one cached resolution.
+	var first trace.CodeLoc
+	for i := 0; i < 100; i++ {
+		c, f := hereBoth()
+		check("loop", c, f)
+		if i == 0 {
+			first = c
+		} else if &c.Frames[0] != &first.Frames[0] {
+			t.Fatalf("loop iteration %d resolved again instead of hitting the cache", i)
+		}
+	}
+	if cap(first.Frames) != len(first.Frames) {
+		t.Errorf("cached frames have spare capacity %d > %d: an append would write into shared state",
+			cap(first.Frames), len(first.Frames))
+	}
+
+	// Recursion deeper than the raw-frame window: the frames kept are the
+	// innermost six, identical however deep the stack goes past the window.
+	for _, depth := range []int{3, hereDepth - 1, hereDepth + 6, 2 * hereDepth} {
+		c, f := recurseHere(depth)
+		check("recursion", c, f)
+		// recurseHere frames plus this test's own.
+		if want := min(depth+2, 6); len(c.Frames) != want {
+			t.Errorf("depth %d: %d frames, want %d", depth, len(c.Frames), want)
+		}
+	}
+}
+
+func TestHereCacheConcurrentCallers(t *testing.T) {
+	// Many goroutines capturing from the same and from distinct stacks
+	// at once must all see their own stack's resolution.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				var c, f trace.CodeLoc
+				if g%2 == 0 {
+					c, f = hereBoth()
+				} else {
+					c, f = recurseHere(g + i%3)
+				}
+				if !reflect.DeepEqual(c, f) {
+					t.Errorf("goroutine %d: cached %v != resolved %v", g, c, f)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+var benchLoc trace.CodeLoc
+
+// BenchmarkHere measures one stack capture per statement: "cached" is
+// Here on a repeating stack, "resolve" symbolizes the same PCs afresh
+// every time, as Here did before it cached.
+func BenchmarkHere(b *testing.B) {
+	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchLoc = Here(1)
+		}
+	})
+	b.Run("resolve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var pcs [hereDepth]uintptr
+			n := runtime.Callers(1, pcs[:])
+			benchLoc = resolveStack(pcs[:n])
+		}
+	})
 }

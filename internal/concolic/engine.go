@@ -19,7 +19,9 @@ import (
 	"fmt"
 	"math/big"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 
 	"weseer/internal/obs"
 	"weseer/internal/smt"
@@ -462,13 +464,44 @@ func (e *Engine) LibraryCall(name string, branches int, out Value) Value {
 // ---------------------------------------------------------------------------
 // Stack capture
 
+// hereDepth bounds how many raw frames Here captures per statement.
+const hereDepth = 24
+
+// stackKey identifies one captured stack: the raw program counters
+// runtime.Callers filled in and how many it filled.
+type stackKey struct {
+	pcs [hereDepth]uintptr
+	n   int
+}
+
+// hereCache maps each distinct stackKey to its resolved CodeLoc. The same
+// PCs always resolve to the same frames, so a stack is symbolized and
+// filtered once per process instead of once per statement. Its size is
+// bounded by the program's distinct call paths that issue SQL. A cached
+// Frames slice is shared by every statement captured at that stack; it is
+// never mutated after capture, and its capacity equals its length so an
+// append by any holder copies.
+var hereCache sync.Map // stackKey → trace.CodeLoc
+
 // Here captures the current application stack, skipping `skip` frames of
 // the caller's own machinery and filtering out engine/ORM internals so
 // that reported trigger code points into application source.
 func Here(skip int) trace.CodeLoc {
-	var pcs [24]uintptr
-	n := runtime.Callers(skip+1, pcs[:])
-	frames := runtime.CallersFrames(pcs[:n])
+	var k stackKey
+	k.n = runtime.Callers(skip+1, k.pcs[:])
+	if loc, ok := hereCache.Load(k); ok {
+		return loc.(trace.CodeLoc)
+	}
+	pcs := k.pcs // resolving lets the slice escape; this copy keeps k on the stack
+	loc := resolveStack(pcs[:k.n])
+	hereCache.Store(k, loc)
+	return loc
+}
+
+// resolveStack symbolizes raw PCs into the application frames Here
+// reports: at most six, innermost first.
+func resolveStack(pcs []uintptr) trace.CodeLoc {
+	frames := runtime.CallersFrames(pcs)
 	var loc trace.CodeLoc
 	for {
 		f, more := frames.Next()
@@ -486,6 +519,7 @@ func Here(skip int) trace.CodeLoc {
 			break
 		}
 	}
+	loc.Frames = slices.Clip(loc.Frames)
 	return loc
 }
 

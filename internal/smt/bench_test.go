@@ -37,6 +37,45 @@ func BenchmarkCanon(b *testing.B) {
 	}
 }
 
+// benchNestedExpr builds a formula with deep And/Or nesting: a
+// disjunction of per-row alternatives, each a conjunction of guarded
+// disjunctions, six connective levels deep, the shape path conditions
+// and edge conditions nest into once conjoined per cycle.
+func benchNestedExpr(prefix string) Expr {
+	var rows []Expr
+	for i := 0; i < 4; i++ {
+		id := NewVar(fmt.Sprintf("%sr%d.ID", prefix, i), SortInt)
+		st := NewVar(fmt.Sprintf("%sr%d.STATUS", prefix, i), SortString)
+		var guards []Expr
+		for j := 0; j < 3; j++ {
+			guards = append(guards, Or(
+				And(Eq(id, Int(int64(j))), Ne(st, Str("DELETED"))),
+				And(Ge(id, NewVar(prefix+"lo", SortInt)),
+					Or(Eq(st, Str("ACTIVE")), Lt(id, Add(NewVar(prefix+"hi", SortInt), Int(int64(j)))))),
+			))
+		}
+		rows = append(rows, And(guards...))
+	}
+	return And(Or(rows...), Or(Ne(NewVar(prefix+"key", SortInt), Int(-1)), Not{X: Or(rows[0], rows[1])}))
+}
+
+// BenchmarkCanonNested measures canonicalization of alpha-variant
+// formulas with deep And/Or nesting, where every refinement pass orders
+// operands at every level.
+func BenchmarkCanonNested(b *testing.B) {
+	f1 := benchNestedExpr("A1.")
+	f2 := benchNestedExpr("A2.")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c1 := Canon(f1)
+		c2 := Canon(f2)
+		if c1.Key != c2.Key {
+			b.Fatal("alpha-variants canonicalized differently")
+		}
+	}
+}
+
 // BenchmarkIntern measures hash-consing a structurally fresh copy of an
 // already-interned formula: every node hashes and hits the bucket table
 // without inserting.

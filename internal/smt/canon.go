@@ -60,6 +60,7 @@ import (
 	"math/big"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -156,21 +157,28 @@ func Canon(e Expr) CanonResult {
 	// whole-formula assignment is applied, and that assignment is
 	// equivariant under renamings of the input, so equivalent inputs
 	// refine identically. Sort and renumber until a fixpoint (or a small
-	// cap — Canon stays a pure function either way).
+	// cap — Canon stays a pure function either way). At the fixpoint the
+	// pass's maps were assigned on the final e and its root key is the
+	// final rendering, so both are reused.
+	m := newCanonMaps(comp)
+	canonAssign(e, m)
+	key := "" // a rendering is never empty
 	for i := 0; i < 4; i++ {
-		m := newCanonMaps(comp)
-		canonAssign(e, m)
-		sorted := acSort(e, func(x Expr) string { return applyMaps(x, m).String() })
+		sorted, k := keyedSort(e, m)
 		if sorted == e {
+			key = k
 			break
 		}
 		e = sorted
+		m = newCanonMaps(comp)
+		canonAssign(e, m)
 	}
 
-	m := newCanonMaps(comp)
-	canonAssign(e, m)
 	canon := applyMaps(e, m)
-	return CanonResult{Expr: canon, Key: canon.String(), Rename: m.vars,
+	if key == "" { // the cap was reached before a fixpoint
+		key = canon.String()
+	}
+	return CanonResult{Expr: canon, Key: key, Rename: m.vars,
 		abs: m.abs, ints: m.ints, strs: m.strs, shifted: m.shifted}
 }
 
@@ -740,6 +748,83 @@ func acSort(e Expr, key func(Expr) string) Expr {
 	default:
 		return e
 	}
+}
+
+// keyedSort is acSort keyed by each operand's rendering under m,
+// applyMaps(x, m).String(), computed bottom-up in one walk. It returns
+// the sorted expression together with its own key. Each atom is
+// rendered once through applyMaps; a connective's key is assembled from
+// its already-sorted children's keys with exactly String()'s bytes, so
+// the order is the one sorting by full renderings would give without
+// re-rendering every subtree once per enclosing level.
+func keyedSort(e Expr, m *canonMaps) (Expr, string) {
+	switch t := e.(type) {
+	case *NAry:
+		ops := make([]keyedExpr, len(t.Xs))
+		changed := false
+		for i, x := range t.Xs {
+			ops[i].x, ops[i].k = keyedSort(x, m)
+			if ops[i].x != x {
+				changed = true
+			}
+		}
+		if less := func(a, b int) bool { return ops[a].k < ops[b].k }; !sort.SliceIsSorted(ops, less) {
+			changed = true
+			sort.SliceStable(ops, less)
+		}
+		op := "(or "
+		if t.Conj {
+			op = "(and "
+		}
+		n := len(op) + len(ops)
+		for _, o := range ops {
+			n += len(o.k)
+		}
+		var b strings.Builder
+		b.Grow(n)
+		b.WriteString(op)
+		for i, o := range ops {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteString(o.k)
+		}
+		b.WriteByte(')')
+		if !changed {
+			return t, b.String()
+		}
+		xs := make([]Expr, len(ops))
+		for i, o := range ops {
+			xs[i] = o.x
+		}
+		return &NAry{Conj: t.Conj, Xs: xs}, b.String()
+	case Not:
+		x, k := keyedSort(t.X, m)
+		k = "(not " + k + ")"
+		if x != t.X {
+			return Not{X: x}, k
+		}
+		return t, k
+	case *Cmp:
+		if t.L.Sort() == SortBool {
+			// Booleans admit =/!= over connectives; the rendering is
+			// (l op r) around the sides' own keys.
+			l, kl := keyedSort(t.L, m)
+			r, kr := keyedSort(t.R, m)
+			k := "(" + kl + " " + t.Op.String() + " " + kr + ")"
+			if l != t.L || r != t.R {
+				return &Cmp{Op: t.Op, L: l, R: r}, k
+			}
+			return t, k
+		}
+	}
+	return e, applyMaps(e, m).String()
+}
+
+// keyedExpr is an operand paired with its rendering under keyedSort's maps.
+type keyedExpr struct {
+	x Expr
+	k string
 }
 
 // ---------------------------------------------------------------------------

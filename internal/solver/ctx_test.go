@@ -66,7 +66,7 @@ func TestSolveCtxCancelMidRun(t *testing.T) {
 	// promptly instead of exhausting its theory-call budget.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	time.Sleep(2 * time.Millisecond)
+	<-ctx.Done() // wait for the deadline to fire, not for a guessed delay
 	res := SolveCtx(ctx, hardFormula(20), Limits{})
 	if res.Status != UNKNOWN {
 		t.Fatalf("status = %v, want UNKNOWN", res.Status)

@@ -65,10 +65,12 @@ rm -rf "$vetdir"
 # The parallel discharge pipeline (worker pool + memo singleflight +
 # cancellation) is the concurrency-bearing code; run it under the race
 # detector, together with the concurrent-client workload harness that
-# drives the fix-verification loop. Scoped to the packages that
-# actually spawn goroutines to keep the gate fast.
-echo "== go test -race (core, solver, smt, workload)"
-go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/...
+# drives the fix-verification loop, and the concolic engine, whose
+# process-wide stack-resolution cache those clients reach through orm.
+# Scoped to the packages that share state across goroutines to keep the
+# gate fast.
+echo "== go test -race (core, solver, smt, workload, concolic)"
+go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... ./internal/concolic/...
 
 # Compile-and-run smoke of the microbenchmarks (one iteration each):
 # catches bit-rot in bench-only code without paying for real timing runs.
