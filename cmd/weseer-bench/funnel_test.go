@@ -43,8 +43,7 @@ func TestFunnelInvariants(t *testing.T) {
 		var baseline core.Stats
 		for i, workers := range []int{1, 4, 16} {
 			o := obs.NewObserver()
-			res := core.NewAnalyzer(tg.scm,
-				core.WithParallelism(workers), core.WithObserver(o)).Analyze(traces)
+			res := analyze(tg.scm, traces, core.WithParallelism(workers), core.WithObserver(o))
 			s := res.Stats
 
 			if s.SolverCalls+s.MemoHits != s.GroupsSolved {

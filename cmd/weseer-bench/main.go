@@ -10,12 +10,12 @@
 // same diagnosis at Parallelism=1 and at -parallel N, verifying the two
 // reports are byte-identical and measuring wall time, solver calls, and
 // memo hits. -out FILE (e.g. -out BENCH_table2.json) writes those
-// numbers as versioned JSON, and -solverout FILE (e.g. -out
-// BENCH_solver.json) writes the solver-engine breakdown — per-phase
-// times plus CDCL counters (decisions, conflicts, propagations, learned
-// clauses, backjumps, theory calls) — against the recorded pre-CDCL
-// baseline. Both writes are gated on the serial and parallel reports
-// being byte-identical; a mismatch exits non-zero instead.
+// numbers as versioned JSON, together with the solver-engine breakdown
+// — per-phase times plus CDCL counters (decisions, conflicts,
+// propagations, learned clauses, backjumps, theory calls) — against the
+// recorded pre-CDCL baseline. The write is gated on the serial and
+// parallel reports being byte-identical; a mismatch exits non-zero
+// instead.
 //
 // scale generates synthetic corpora (internal/appgen, opened through the
 // application registry as gen:<seed>,templates=N,...) at increasing
@@ -54,6 +54,7 @@ import (
 	"weseer/internal/core"
 	"weseer/internal/minidb"
 	"weseer/internal/obs"
+	"weseer/internal/schema"
 	"weseer/internal/trace"
 	"weseer/internal/workload"
 )
@@ -62,8 +63,7 @@ var (
 	duration   = flag.Duration("duration", 500*time.Millisecond, "per-configuration workload duration (fig10/fig11)")
 	clientsF   = flag.String("clients", "8,64,128", "client counts for fig10/fig11")
 	parallelF  = flag.Int("parallel", 4, "worker count for the parallel-pipeline comparisons (table2, scale)")
-	outF       = flag.String("out", "", "write the table2 pipeline benchmark as versioned JSON to this file")
-	solverOutF = flag.String("solverout", "", "write the table2 solver-engine breakdown as versioned JSON to this file")
+	outF       = flag.String("out", "", "write the table2 pipeline and solver-engine benchmark as versioned JSON to this file")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	traceOutF  = flag.String("traceout", "", "write a Chrome trace_event JSON of an observed table2 parallel run")
@@ -97,8 +97,17 @@ func init() {
 	registerExp(1, "table1", "Table I: target APIs and invocation counts", table1)
 	registerExp(2, "table2", "Table II: the 18 deadlocks, fixes, and the parallel pipeline bench", table2)
 	registerExp(3, "table3", "Table III: unit-test runtime per engine mode", table3)
-	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", fig10)
-	registerExp(5, "fig11", "Fig. 11: Shopizer throughput across fix ablations", fig11)
+	registerExp(4, "fig10", "Fig. 10: Broadleaf throughput across fix ablations", func() {
+		header("Fig. 10: performance impact of Broadleaf's deadlocks (API/s)")
+		fixThroughput("broadleaf", broadleaf.FixNames())
+		fmt.Println("\nexpected shape: enable all sustains throughput with ~0 aborts/s; disable all")
+		fmt.Println("collapses under deadlock storms (the paper reports 39.5x and 904->0 aborts/s)")
+	})
+	registerExp(5, "fig11", "Fig. 11: Shopizer throughput across fix ablations", func() {
+		header("Fig. 11: performance impact of Shopizer's deadlocks (API/s)")
+		fixThroughput("shopizer", shopizer.FixNames())
+		fmt.Println("\nexpected shape: fixes win at high concurrency (the paper reports up to 4.5x)")
+	})
 	registerExp(6, "pruning", "Sec. IV: path-condition pruning (656K -> 2.7K analog)", pruning)
 	registerExp(7, "baseline", "Sec. VII-B: coarse-only cycle explosion (18,384 analog)", baseline)
 }
@@ -179,6 +188,13 @@ func openApp(spec string) apps.App {
 	return app
 }
 
+// analyze runs one diagnosis to completion.
+func analyze(scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	check(err)
+	return res
+}
+
 func clientCounts() []int {
 	var out []int
 	var n int
@@ -242,8 +258,8 @@ func table2() {
 	shTraces, err := appkit.Collect(shApp.UnitTests(), concolic.ModeConcolic)
 	check(err)
 
-	blRes := core.New(blApp.Schema(), core.Options{}).Analyze(blTraces)
-	shRes := core.New(shApp.Schema(), core.Options{}).Analyze(shTraces)
+	blRes := analyze(blApp.Schema(), blTraces)
+	shRes := analyze(shApp.Schema(), shTraces)
 
 	blFound := map[string]int{}
 	for _, d := range blRes.Deadlocks {
@@ -274,8 +290,8 @@ func table2() {
 	fmt.Println("Shopizer: ", shRes.Stats.Render())
 
 	// Phase-0 static prescreen: same diagnosis, fewer solver calls.
-	blPre := core.New(blApp.Schema(), core.Options{StaticPrescreen: true}).Analyze(blTraces)
-	shPre := core.New(shApp.Schema(), core.Options{StaticPrescreen: true}).Analyze(shTraces)
+	blPre := analyze(blApp.Schema(), blTraces, core.WithPrescreen())
+	shPre := analyze(shApp.Schema(), shTraces, core.WithPrescreen())
 	fmt.Println("\nwith -exp table2 static prescreen (weseer vet Phase-0):")
 	fmt.Println("Broadleaf:", blPre.Stats.Render())
 	fmt.Println("Shopizer: ", shPre.Stats.Render())
@@ -312,24 +328,45 @@ type pipelineRun struct {
 	found    int
 }
 
+// solverBaseline records the pre-CDCL engine's serial numbers on this
+// same Table II workload (linear-scan DPLL(T) with full-assignment
+// blocking clauses, string-keyed atom interning, uncached edge
+// conditions), measured before the CDCL engine replaced it. The -out
+// payload reports the current engine against it.
+type solverBaseline struct {
+	Engine       string `json:"engine"`
+	SerialWallMS int64  `json:"serial_wall_ms"`
+	SerialSlvMS  int64  `json:"serial_solver_ms"`
+}
+
+var preCDCL = solverBaseline{
+	Engine:       "dpll-blocking-clauses (pre-CDCL)",
+	SerialWallMS: 753,
+	SerialSlvMS:  560,
+}
+
 // pipelineJSON is the versioned -out payload of the table2 pipeline
 // benchmark.
 type pipelineJSON struct {
-	Version          int         `json:"version"`
-	Parallelism      int         `json:"parallelism"`
-	Serial           pipelineRun `json:"serial"`
-	Parallel         pipelineRun `json:"parallel"`
-	Speedup          float64     `json:"speedup"`
-	MemoHitRate      float64     `json:"memo_hit_rate"`
-	Table2Found      int         `json:"table2_found"`
-	Table2Catalog    int         `json:"table2_catalog"`
-	ReportsIdentical bool        `json:"reports_identical"`
+	Version     int            `json:"version"`
+	Engine      string         `json:"engine"`
+	Parallelism int            `json:"parallelism"`
+	Baseline    solverBaseline `json:"baseline"`
+	Serial      pipelineRun    `json:"serial"`
+	Parallel    pipelineRun    `json:"parallel"`
+	Speedup     float64        `json:"speedup"`
+	MemoHitRate float64        `json:"memo_hit_rate"`
+	// SolverSpeedup is baseline serial in-solver time over current serial
+	// in-solver time on the same workload.
+	SolverSpeedup    float64 `json:"solver_speedup_vs_baseline"`
+	Table2Found      int     `json:"table2_found"`
+	Table2Catalog    int     `json:"table2_catalog"`
+	ReportsIdentical bool    `json:"reports_identical"`
 }
 
 func timedRun(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace, workers int) pipelineRun {
 	diagnose := func(app apps.App, traces []*trace.Trace, b *strings.Builder, r *pipelineRun) {
-		res, err := core.NewAnalyzer(app.Schema(), core.WithParallelism(workers)).AnalyzeContext(context.Background(), traces)
-		check(err)
+		res := analyze(app.Schema(), traces, core.WithParallelism(workers))
 		r.GroupsSolved += res.Stats.GroupsSolved
 		r.SolverCalls += res.Stats.SolverCalls
 		r.MemoHits += res.Stats.MemoHits
@@ -374,7 +411,9 @@ func pipelineBench(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace) {
 	identical := serial.rendered == par.rendered
 	out := pipelineJSON{
 		Version:          1,
+		Engine:           "cdcl-watched-literals + theory-core learning",
 		Parallelism:      workers,
+		Baseline:         preCDCL,
 		Serial:           serial,
 		Parallel:         par,
 		Table2Found:      par.found,
@@ -387,6 +426,9 @@ func pipelineBench(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace) {
 	if par.GroupsSolved > 0 {
 		out.MemoHitRate = float64(par.MemoHits) / float64(par.GroupsSolved)
 	}
+	if serial.SolverMS > 0 {
+		out.SolverSpeedup = float64(preCDCL.SerialSlvMS) / float64(serial.SolverMS)
+	}
 
 	fmt.Printf("  serial:   %4d ms wall (solver %d ms), %d groups via %d solver calls (%d memo hits)\n",
 		serial.WallMS, serial.SolverMS, serial.GroupsSolved, serial.SolverCalls, serial.MemoHits)
@@ -397,11 +439,12 @@ func pipelineBench(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace) {
 		serial.LearnedClauses, serial.Backjumps, serial.TheoryCalls)
 	fmt.Printf("  speedup %.2fx, memo hit rate %.0f%%, reports byte-identical: %v, Table II %d/%d\n",
 		out.Speedup, 100*out.MemoHitRate, identical, out.Table2Found, out.Table2Catalog)
+	fmt.Printf("  solver speedup vs pre-CDCL baseline: %.2fx\n", out.SolverSpeedup)
 	if !identical {
 		// Determinism is the contract the memoized parallel pipeline is
 		// built around; refuse to record benchmark artifacts that violate
 		// it.
-		fmt.Println("  ERROR: parallel report differs from serial — determinism bug; not writing BENCH files")
+		fmt.Println("  ERROR: parallel report differs from serial — determinism bug; not writing the BENCH file")
 		os.Exit(1)
 	}
 
@@ -410,9 +453,6 @@ func pipelineBench(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace) {
 		check(err)
 		check(os.WriteFile(*outF, append(data, '\n'), 0o644))
 		fmt.Printf("  wrote %s\n", *outF)
-	}
-	if *solverOutF != "" {
-		writeSolverBench(serial, par, workers)
 	}
 	if *traceOutF != "" || *metricsF != "" {
 		observedRun(blApp, shApp, blTraces, shTraces, workers)
@@ -427,14 +467,8 @@ func pipelineBench(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace) {
 // workload.
 func observedRun(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace, workers int) {
 	o := obs.NewObserver()
-	_, err := core.NewAnalyzer(blApp.Schema(),
-		core.WithParallelism(workers), core.WithObserver(o)).
-		AnalyzeContext(context.Background(), blTraces)
-	check(err)
-	_, err = core.NewAnalyzer(shApp.Schema(),
-		core.WithParallelism(workers), core.WithObserver(o)).
-		AnalyzeContext(context.Background(), shTraces)
-	check(err)
+	analyze(blApp.Schema(), blTraces, core.WithParallelism(workers), core.WithObserver(o))
+	analyze(shApp.Schema(), shTraces, core.WithParallelism(workers), core.WithObserver(o))
 	write := func(path string, render func(*os.File) error) {
 		f, err := os.Create(path)
 		check(err)
@@ -448,53 +482,6 @@ func observedRun(blApp, shApp apps.App, blTraces, shTraces []*trace.Trace, worke
 	if *metricsF != "" {
 		write(*metricsF, func(f *os.File) error { return o.Metrics.WritePrometheus(f) })
 	}
-}
-
-// solverBaseline records the pre-CDCL engine's serial numbers on this
-// same Table II workload (linear-scan DPLL(T) with full-assignment
-// blocking clauses, string-keyed atom interning, uncached edge
-// conditions), measured on the reference container. The solver JSON
-// reports the current engine against it.
-type solverBaseline struct {
-	Engine       string `json:"engine"`
-	SerialWallMS int64  `json:"serial_wall_ms"`
-	SerialSlvMS  int64  `json:"serial_solver_ms"`
-}
-
-// solverJSON is the versioned -solverout payload.
-type solverJSON struct {
-	Version     int            `json:"version"`
-	Engine      string         `json:"engine"`
-	Parallelism int            `json:"parallelism"`
-	Baseline    solverBaseline `json:"baseline"`
-	Serial      pipelineRun    `json:"serial"`
-	Parallel    pipelineRun    `json:"parallel"`
-	// SolverSpeedup is baseline serial in-solver time over current serial
-	// in-solver time on the same workload.
-	SolverSpeedup float64 `json:"solver_speedup_vs_baseline"`
-}
-
-func writeSolverBench(serial, par pipelineRun, workers int) {
-	base := solverBaseline{
-		Engine:       "dpll-blocking-clauses (pre-CDCL)",
-		SerialWallMS: 753,
-		SerialSlvMS:  560,
-	}
-	out := solverJSON{
-		Version:     1,
-		Engine:      "cdcl-watched-literals + theory-core learning",
-		Parallelism: workers,
-		Baseline:    base,
-		Serial:      serial,
-		Parallel:    par,
-	}
-	if serial.SolverMS > 0 {
-		out.SolverSpeedup = float64(base.SerialSlvMS) / float64(serial.SolverMS)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	check(os.WriteFile(*solverOutF, append(data, '\n'), 0o644))
-	fmt.Printf("  wrote %s (solver speedup vs pre-CDCL baseline: %.2fx)\n", *solverOutF, out.SolverSpeedup)
 }
 
 // ---------------------------------------------------------------------------
@@ -553,10 +540,6 @@ func table3() {
 
 // ---------------------------------------------------------------------------
 // Fig. 10 / Fig. 11
-//
-// The ablation figures toggle individual fixes, a knob the registry's
-// Fixed bool does not expose, so they keep the model apps' direct Fixes
-// constructors.
 
 func dbCfg() minidb.Config {
 	return minidb.Config{
@@ -565,75 +548,54 @@ func dbCfg() minidb.Config {
 	}
 }
 
-func fig10() {
-	header("Fig. 10: performance impact of Broadleaf's deadlocks (API/s)")
-	configs := []struct {
-		label string
-		fixes broadleaf.Fixes
-	}{
-		{"enable all", broadleaf.AllFixes()},
-		{"disable all", broadleaf.Fixes{}},
-	}
-	for _, f := range broadleaf.FixNames() {
-		configs = append(configs, struct {
-			label string
-			fixes broadleaf.Fixes
-		}{"disable " + f, broadleaf.AllFixes().Disable(f)})
-	}
-	fmt.Printf("%-14s", "config")
-	for _, c := range clientCounts() {
-		fmt.Printf(" %8d cl  (aborts/s)", c)
-	}
-	fmt.Println()
-	for _, cfg := range configs {
-		fmt.Printf("%-14s", cfg.label)
-		for _, clients := range clientCounts() {
-			app := broadleaf.New(cfg.fixes, dbCfg())
-			res := workload.Run(workload.Config{
-				Clients: clients, Duration: *duration, Seed: 42,
-				RetryBackoff: time.Millisecond,
-			}, app.DB, app.Flow())
-			fmt.Printf(" %11.0f  (%8.0f)", res.Throughput, res.AbortsPS)
-		}
-		fmt.Println()
-	}
-	fmt.Println("\nexpected shape: enable all sustains throughput with ~0 aborts/s; disable all")
-	fmt.Println("collapses under deadlock storms (the paper reports 39.5x and 904->0 aborts/s)")
+// fixConfig is one Fig. 10/11 configuration: a labeled registry open.
+type fixConfig struct {
+	label string
+	opt   apps.Options
 }
 
-func fig11() {
-	header("Fig. 11: performance impact of Shopizer's deadlocks (API/s)")
-	configs := []struct {
-		label string
-		fixes shopizer.Fixes
-	}{
-		{"enable all", shopizer.AllFixes()},
-		{"disable all", shopizer.Fixes{}},
+// fixConfigs lists the ablation configurations over an app's fixes:
+// every fix enabled, none, and each one disabled alone.
+func fixConfigs(fixes []string) []fixConfig {
+	configs := []fixConfig{
+		{"enable all", apps.Options{Fixed: true}},
+		{"disable all", apps.Options{}},
 	}
-	for _, f := range shopizer.FixNames() {
-		configs = append(configs, struct {
-			label string
-			fixes shopizer.Fixes
-		}{"disable " + f, shopizer.AllFixes().Disable(f)})
+	for _, f := range fixes {
+		var rest []string
+		for _, g := range fixes {
+			if g != f {
+				rest = append(rest, g)
+			}
+		}
+		configs = append(configs, fixConfig{"disable " + f, apps.Options{Apply: rest}})
 	}
+	return configs
+}
+
+// fixThroughput drives every fixConfigs configuration of the app under
+// the concurrent-client workload and prints throughput and abort rate
+// per client count.
+func fixThroughput(spec string, fixes []string) {
 	fmt.Printf("%-14s", "config")
 	for _, c := range clientCounts() {
 		fmt.Printf(" %8d cl  (aborts/s)", c)
 	}
 	fmt.Println()
-	for _, cfg := range configs {
+	for _, cfg := range fixConfigs(fixes) {
+		cfg.opt.DB = dbCfg()
 		fmt.Printf("%-14s", cfg.label)
 		for _, clients := range clientCounts() {
-			app := shopizer.New(cfg.fixes, dbCfg())
+			app, err := apps.Open(spec, cfg.opt)
+			check(err)
 			res := workload.Run(workload.Config{
 				Clients: clients, Duration: *duration, Seed: 42,
 				RetryBackoff: time.Millisecond,
-			}, app.DB, app.Flow())
+			}, app.DB(), app.(apps.Workloader).Flow())
 			fmt.Printf(" %11.0f  (%8.0f)", res.Throughput, res.AbortsPS)
 		}
 		fmt.Println()
 	}
-	fmt.Println("\nexpected shape: fixes win at high concurrency (the paper reports up to 4.5x)")
 }
 
 // ---------------------------------------------------------------------------
@@ -669,10 +631,10 @@ func baseline() {
 	shTraces, err := appkit.Collect(shApp.UnitTests(), concolic.ModeConcolic)
 	check(err)
 
-	blCoarse := core.New(blApp.Schema(), core.Options{CoarseOnly: true}).Analyze(blTraces)
-	shCoarse := core.New(shApp.Schema(), core.Options{CoarseOnly: true}).Analyze(shTraces)
-	blFine := core.New(blApp.Schema(), core.Options{}).Analyze(blTraces)
-	shFine := core.New(shApp.Schema(), core.Options{}).Analyze(shTraces)
+	blCoarse := analyze(blApp.Schema(), blTraces, core.WithCoarseOnly())
+	shCoarse := analyze(shApp.Schema(), shTraces, core.WithCoarseOnly())
+	blFine := analyze(blApp.Schema(), blTraces)
+	shFine := analyze(shApp.Schema(), shTraces)
 
 	total := blCoarse.Stats.CoarseCycles + shCoarse.Stats.CoarseCycles
 	fmt.Printf("coarse hold-and-wait cycles reported: %d (paper: 18,384)\n", total)

@@ -1,6 +1,7 @@
 package appgen
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
+	"weseer/internal/schema"
 	"weseer/internal/trace"
 )
 
@@ -49,6 +51,16 @@ func collect(t *testing.T, a *App) []*trace.Trace {
 		t.Fatalf("collect: %v", err)
 	}
 	return traces
+}
+
+// analyze diagnoses the traces and fails the test on error.
+func analyze(t *testing.T, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	t.Helper()
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // render produces the canonical report text used for byte-identity
@@ -108,7 +120,7 @@ func TestDeterminismAcrossBuildsAndParallelism(t *testing.T) {
 		if i%2 == 1 { // interleave the two builds: app identity must not matter
 			app, traces = a2, tr2
 		}
-		res := core.NewAnalyzer(app.Schema(), core.WithParallelism(par)).Analyze(traces)
+		res := analyze(t, app.Schema(), traces, core.WithParallelism(par))
 		reports = append(reports, render(app, res))
 	}
 	for i := 1; i < len(reports); i++ {
@@ -123,7 +135,7 @@ func TestPlantedClassesAllDiagnosedNoSpurious(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewAnalyzer(a.Schema()).Analyze(collect(t, a))
+	res := analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) == 0 {
 		t.Fatal("no deadlocks diagnosed on a corpus with all classes planted")
 	}
@@ -151,7 +163,7 @@ func TestNoClassesMeansNoDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewAnalyzer(a.Schema()).Analyze(collect(t, a))
+	res := analyze(t, a.Schema(), collect(t, a))
 	if len(res.Deadlocks) != 0 {
 		for _, d := range res.Deadlocks {
 			t.Logf("unexpected:\n%s", d.Render())

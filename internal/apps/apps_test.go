@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"weseer/internal/apps/appkit"
 	"weseer/internal/concolic"
 	"weseer/internal/core"
+	"weseer/internal/schema"
+	"weseer/internal/trace"
 )
 
 // update rewrites the golden files instead of diffing against them.
@@ -102,6 +105,16 @@ func repoRoot(t *testing.T) string {
 	return filepath.Clean(filepath.Join(filepath.Dir(file), "..", ".."))
 }
 
+// analyze diagnoses the traces and fails the test on error.
+func analyze(t *testing.T, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	t.Helper()
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // renderApp reproduces the pre-refactor report rendering the goldens
 // were captured with: timing-free funnel, sorted per-class counts, and
 // each deadlock's full rendered form.
@@ -111,7 +124,7 @@ func renderApp(t *testing.T, app App) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewAnalyzer(app.Schema()).Analyze(traces)
+	res := analyze(t, app.Schema(), traces)
 	var b strings.Builder
 	fmt.Fprintf(&b, "funnel: %+v\n", res.Stats.WithoutTimings())
 	counts := map[string]int{}
@@ -178,7 +191,7 @@ func TestTableIIInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.NewAnalyzer(app.Schema()).Analyze(traces)
+		res := analyze(t, app.Schema(), traces)
 		for _, d := range res.Deadlocks {
 			if id := app.Classify(d); strings.HasPrefix(id, "d") {
 				classes[id] = true

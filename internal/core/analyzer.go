@@ -20,7 +20,8 @@
 // on a worker pool with solver-call memoization (pipeline.go, memo.go);
 // stage 4 merges per-chain outcomes in canonical order. The report is
 // deterministic — byte identical — at every parallelism setting, and
-// identical with the index disabled (DisableEnumIndex).
+// identical to the naive O(instances²) pair loop the differential tests
+// keep as their oracle.
 package core
 
 import (
@@ -41,13 +42,18 @@ import (
 // Analyzer runs deadlock diagnosis over collected traces.
 type Analyzer struct {
 	scm  *schema.Schema
-	opts Options
-	ps   *prescreenState // Phase-0 state, set per Analyze call
-	// edgeMemo caches C-edge conflict conditions per Analyze call: every
-	// cycle sharing an edge used to rebuild an identical condition. Keyed
-	// by edgeKey; values are interned smt.Expr. Safe for the phase-3
-	// workers (sync.Map, and the cached expressions are immutable).
+	opts options
+	ps   *prescreenState // Phase-0 state, set per AnalyzeContext call
+	// edgeMemo caches C-edge conflict conditions per AnalyzeContext
+	// call: every cycle sharing an edge used to rebuild an identical
+	// condition. Keyed by edgeKey; values are interned smt.Expr. Safe for
+	// the phase-3 workers (sync.Map, and the cached expressions are
+	// immutable).
 	edgeMemo *sync.Map
+	// enumOverride, when non-nil, replaces the indexed phase-1/2
+	// enumeration. It is a test seam, set by no option: the differential
+	// tests plug in the naive pair-loop oracle.
+	enumOverride func(ctx context.Context, traces []*trace.Trace, res *Result) ([]*chain, error)
 }
 
 // prescreenState caches the static shapes Phase-0 screens against, so
@@ -108,21 +114,12 @@ type Deadlock struct {
 	Count int
 }
 
-// Analyze runs the three-phase diagnosis over the traces.
-//
-// Deprecated: use AnalyzeContext, which supports cancellation and
-// reports it as an error.
-func (a *Analyzer) Analyze(traces []*trace.Trace) *Result {
-	res, _ := a.AnalyzeContext(context.Background(), traces)
-	return res
-}
-
 // AnalyzeContext runs the three-phase diagnosis over the traces. Each
 // trace contributes two renamed instances ("A1.", "A2."), and every
 // cross-instance transaction pair — including pairs drawn from two
 // different APIs' traces — is examined, matching the paper's setup.
 //
-// Phase 3 runs on Options.Parallelism concurrent workers (default
+// Phase 3 runs on WithParallelism concurrent workers (default
 // GOMAXPROCS); the returned report does not depend on the worker count
 // or scheduling. When ctx is canceled mid-run the partial result
 // gathered so far is returned together with ctx.Err().
@@ -167,10 +164,16 @@ func (a *Analyzer) AnalyzeContext(ctx context.Context, traces []*trace.Trace) (*
 	// Stages 1–2: pair filtering and coarse-cycle enumeration, grouped
 	// into dedup-key chains in first-occurrence order. The indexed path
 	// fans the per-instance work out over the same worker budget phase 3
-	// uses; its merge keeps chain order byte-compatible with the naive
-	// serial loop (the DisableEnumIndex ablation).
+	// uses; its merge keeps chain order byte-compatible with a serial
+	// loop over every instance pair.
 	start := time.Now()
-	chains, err := a.enumerate(ctx, traces, workers, res)
+	var chains []*chain
+	var err error
+	if a.enumOverride != nil {
+		chains, err = a.enumOverride(ctx, traces, res)
+	} else {
+		chains, err = a.enumerateIndexed(ctx, traces, workers, res)
+	}
 	res.Stats.EnumTime = time.Since(start)
 	if o != nil {
 		spEnum.End(obs.Int("chains", len(chains)),
@@ -217,88 +220,6 @@ func (a *Analyzer) finishObs(o *obs.Observer, spAnalyze obs.Span, res *Result, e
 	spAnalyze.End(obs.Int("deadlocks", len(res.Deadlocks)),
 		obs.Bool("aborted", err != nil))
 	res.Metrics = o.Snapshot()
-}
-
-// enumerate runs phases 1 and 2: transaction-pair filtering, the Phase-0
-// pair screen, and coarse-cycle enumeration. Candidate cycles sharing a
-// dedup key are collected into one chain, preserving global enumeration
-// order both across chains and within each chain. The default
-// implementation is the indexed, parallel one (enumerate.go); the naive
-// quadratic loop remains as the DisableEnumIndex ablation and as the
-// oracle the differential tests compare against.
-func (a *Analyzer) enumerate(ctx context.Context, traces []*trace.Trace, workers int, res *Result) ([]*chain, error) {
-	if !a.opts.DisableEnumIndex {
-		return a.enumerateIndexed(ctx, traces, workers, res)
-	}
-	return a.enumerateNaive(ctx, traces, res)
-}
-
-// enumerateNaive probes every cross-instance transaction pair —
-// O(instances²) in corpus size, serial.
-func (a *Analyzer) enumerateNaive(ctx context.Context, traces []*trace.Trace, res *Result) ([]*chain, error) {
-	// Pre-rename each trace once per role, and compute each renamed
-	// transaction's table signature once: phase 1 probes every pair, so
-	// rebuilding the accessed/written maps per probe is quadratic in
-	// corpus size.
-	inst1 := make([]*trace.Trace, len(traces))
-	inst2 := make([]*trace.Trace, len(traces))
-	sigs := map[*trace.Txn]txnSig{}
-	for i, tr := range traces {
-		inst1[i] = tr.Rename("A1.")
-		inst2[i] = tr.Rename("A2.")
-		for _, in := range []*trace.Trace{inst1[i], inst2[i]} {
-			for _, txn := range in.Txns {
-				acc, wr := txn.Tables()
-				sigs[txn] = txnSig{acc: acc, wr: wr}
-			}
-		}
-	}
-
-	byKey := map[string]*chain{}
-	var chains []*chain
-	add := func(cyc Cycle) {
-		key := cyc.dedupKey()
-		ch, ok := byKey[key]
-		if !ok {
-			ch = &chain{key: key}
-			byKey[key] = ch
-			chains = append(chains, ch)
-		}
-		ch.cycles = append(ch.cycles, cyc)
-	}
-
-	for i := range traces {
-		for j := i; j < len(traces); j++ {
-			for _, t1 := range inst1[i].Txns {
-				for _, t2 := range inst2[j].Txns {
-					if err := ctx.Err(); err != nil {
-						return chains, err
-					}
-					res.Stats.Pairs++
-					if !a.opts.SkipPhase1 && !sigs[t1].conflicts(sigs[t2]) {
-						continue
-					}
-					res.Stats.PairsAfterPhase1++
-					if a.ps != nil {
-						res.Stats.PrescreenPairs++
-						sh1 := a.ps.shape(traces[i].API, t1)
-						sh2 := a.ps.shape(traces[j].API, t2)
-						if !staticlint.PairDeadlockPossible(sh1, sh2, a.scm) {
-							res.Stats.PrescreenPairsPruned++
-							continue
-						}
-					}
-					// Instances are only allocated for pairs that survive the
-					// filters: on large corpora phase 1 rejects the vast
-					// majority of pairs.
-					p1 := &instance{API: traces[i].API, Prefix: "A1.", Txn: t1, Trace: inst1[i]}
-					p2 := &instance{API: traces[j].API, Prefix: "A2.", Txn: t2, Trace: inst2[j]}
-					res.Stats.CoarseCycles += a.enumeratePair(p1, p2, add)
-				}
-			}
-		}
-	}
-	return chains, nil
 }
 
 // txnSig is a transaction's cached table signature for the phase-1

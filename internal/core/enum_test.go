@@ -13,7 +13,7 @@ import (
 )
 
 // Differential tests for the indexed, parallel phase-1/2 enumeration:
-// the serial quadratic loop (WithoutEnumIndex) is the oracle, and the
+// the serial quadratic loop (naiveAnalyzer) is the oracle, and the
 // indexed path must reproduce its report byte-for-byte at any worker
 // count, on seeded random corpora as well as the curated workloads.
 
@@ -86,7 +86,7 @@ func comparable(s Stats) Stats {
 // same extra options.
 func diffRun(t *testing.T, scm *schema.Schema, traces []*trace.Trace, workerCounts []int, extra ...Option) {
 	t.Helper()
-	naive, err := NewAnalyzer(scm, append([]Option{WithoutEnumIndex(), WithParallelism(1)}, extra...)...).
+	naive, err := naiveAnalyzer(scm, append([]Option{WithParallelism(1)}, extra...)...).
 		AnalyzeContext(context.Background(), traces)
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +271,11 @@ func TestEnumIndexProbesDeterministic(t *testing.T) {
 			t.Errorf("p%d: IndexProbes = %d, want %d", workers, res.Stats.IndexProbes, base.Stats.IndexProbes)
 		}
 	}
-	for name, opt := range map[string]Option{"naive": WithoutEnumIndex(), "skip-phase1": WithoutPhase1()} {
-		res, err := NewAnalyzer(fig1Schema(), WithParallelism(1), opt).
-			AnalyzeContext(context.Background(), traces)
+	for name, a := range map[string]*Analyzer{
+		"naive":       naiveAnalyzer(fig1Schema(), WithParallelism(1)),
+		"skip-phase1": NewAnalyzer(fig1Schema(), WithParallelism(1), WithoutPhase1()),
+	} {
+		res, err := a.AnalyzeContext(context.Background(), traces)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,25 +294,25 @@ func benchCorpus() (*schema.Schema, []*trace.Trace) {
 	return randSchema(tables), randTraces(rng, 160, tables)
 }
 
-func benchEnum(b *testing.B, opts ...Option) {
+func benchEnum(b *testing.B, build func(*schema.Schema, ...Option) *Analyzer, opts ...Option) {
 	scm, traces := benchCorpus()
 	opts = append(opts, WithCoarseOnly())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces); err != nil {
+		if _, err := build(scm, opts...).AnalyzeContext(context.Background(), traces); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkEnumNaive(b *testing.B) {
-	benchEnum(b, WithoutEnumIndex(), WithParallelism(1))
+	benchEnum(b, naiveAnalyzer, WithParallelism(1))
 }
 
 func BenchmarkEnumIndexed(b *testing.B) {
-	benchEnum(b, WithParallelism(1))
+	benchEnum(b, NewAnalyzer, WithParallelism(1))
 }
 
 func BenchmarkEnumIndexedParallel(b *testing.B) {
-	benchEnum(b, WithParallelism(4))
+	benchEnum(b, NewAnalyzer, WithParallelism(4))
 }

@@ -2,11 +2,10 @@ package core
 
 // Indexed, parallel candidate enumeration (phases 1–2).
 //
-// The naive reference loop (enumerateNaive, kept as the
-// DisableEnumIndex ablation and as the differential-test oracle) probes
-// every cross-instance transaction pair — O(instances²) signature
-// probes even though on large corpora almost no pair conflicts. The
-// indexed path inverts the phase-1 signature instead: per-table posting
+// The naive reference loop (kept in the package tests as the
+// differential oracle) probes every cross-instance transaction pair —
+// O(instances²) signature probes even though on large corpora almost no
+// pair conflicts. The indexed path inverts the phase-1 signature instead: per-table posting
 // lists of the A2-role instances that access, and that write, each
 // table. A pair survives phase 1 iff each side writes a table the other
 // accesses, so the exact survivor set for one A1-role instance L is
@@ -162,9 +161,12 @@ type leftOutcome struct {
 	err error
 }
 
-// enumerateIndexed is the indexed, parallel implementation of phases
-// 1–2. It produces the same chains, in the same order, with the same
-// funnel counters as enumerateNaive (plus Stats.IndexProbes, which the
+// enumerateIndexed runs phases 1 and 2: transaction-pair filtering, the
+// Phase-0 pair screen, and coarse-cycle enumeration. Candidate cycles
+// sharing a dedup key are collected into one chain, preserving global
+// enumeration order both across chains and within each chain. It
+// produces the same chains, in the same order, with the same funnel
+// counters as the naive pair loop (plus Stats.IndexProbes, which the
 // naive loop leaves zero).
 func (a *Analyzer) enumerateIndexed(ctx context.Context, traces []*trace.Trace, workers int, res *Result) ([]*chain, error) {
 	lefts, leftSigs, leftStart := flattenRole(traces, "A1.")

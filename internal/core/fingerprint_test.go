@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// fingerprintRun runs the pipeline workload and returns the report's
-// fingerprints in report order.
-func fingerprintRun(t *testing.T, opts ...Option) []string {
+// fingerprintRun runs the pipeline workload through a and returns the
+// report's fingerprints in report order.
+func fingerprintRun(t *testing.T, a *Analyzer) []string {
 	t.Helper()
-	res, err := NewAnalyzer(fig1Schema(), opts...).
-		AnalyzeContext(context.Background(), pipelineTraces())
+	res, err := a.AnalyzeContext(context.Background(), pipelineTraces())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +30,25 @@ func fingerprintRun(t *testing.T, opts ...Option) []string {
 }
 
 // TestFingerprintDeterminism pins the satellite guarantee: fingerprints
-// are byte-identical at parallelism 1/4/16 and invariant under the
-// enumeration-index ablation (-enum-index=false).
+// are byte-identical at parallelism 1/4/16 and match the naive
+// pair-loop oracle's.
 func TestFingerprintDeterminism(t *testing.T) {
-	base := fingerprintRun(t, WithParallelism(1))
+	base := fingerprintRun(t, NewAnalyzer(fig1Schema(), WithParallelism(1)))
 	for _, fp := range base {
 		if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(fp) {
 			t.Fatalf("malformed fingerprint %q", fp)
 		}
 	}
 	for _, workers := range []int{4, 16} {
-		got := fingerprintRun(t, WithParallelism(workers))
+		got := fingerprintRun(t, NewAnalyzer(fig1Schema(), WithParallelism(workers)))
 		if strings.Join(got, ",") != strings.Join(base, ",") {
 			t.Errorf("parallelism %d changed fingerprints:\n got %v\nwant %v",
 				workers, got, base)
 		}
 	}
-	naive := fingerprintRun(t, WithParallelism(4), WithoutEnumIndex())
+	naive := fingerprintRun(t, naiveAnalyzer(fig1Schema(), WithParallelism(4)))
 	if strings.Join(naive, ",") != strings.Join(base, ",") {
-		t.Errorf("-enum-index=false changed fingerprints:\n got %v\nwant %v", naive, base)
+		t.Errorf("naive enumeration changed fingerprints:\n got %v\nwant %v", naive, base)
 	}
 }
 

@@ -6,13 +6,9 @@ import (
 	"weseer/internal/solver"
 )
 
-// Options configure an analysis run.
-//
-// Deprecated: the bool-flag struct is kept so existing callers compile
-// unchanged; new code should construct analyzers with NewAnalyzer and
-// functional options (WithParallelism, WithPrescreen, ...), which cover
-// every field here.
-type Options struct {
+// options configure an analysis run. Callers outside the package set
+// them through the Option functions passed to NewAnalyzer.
+type options struct {
 	// CoarseOnly stops after phase 2 and reports raw coarse cycles — the
 	// STEPDAD/REDACT baseline mode (Sec. VII-B).
 	CoarseOnly bool
@@ -48,12 +44,6 @@ type Options struct {
 	// discharged candidate runs its own solver call on the original,
 	// un-canonicalized formula.
 	DisableMemo bool
-	// DisableEnumIndex turns off the inverted table-conflict index and
-	// the parallel fan-out of phases 1–2 (ablation): enumeration falls
-	// back to the serial loop that probes every transaction-instance
-	// pair — O(instances²) in corpus size. Reports are byte-identical
-	// either way; the naive loop doubles as the differential-test oracle.
-	DisableEnumIndex bool
 	// Observer, when non-nil, receives spans, metrics, and progress from
 	// the run. Telemetry is observational only: the report is identical
 	// with or without it. Nil (the default) disables all instrumentation
@@ -62,53 +52,53 @@ type Options struct {
 }
 
 // Option is a functional analysis option, applied by NewAnalyzer.
-type Option func(*Options)
+type Option func(*options)
 
 // WithParallelism sets the number of concurrent phase-3 workers
 // (n <= 0 selects GOMAXPROCS).
 func WithParallelism(n int) Option {
-	return func(o *Options) { o.Parallelism = n }
+	return func(o *options) { o.Parallelism = n }
 }
 
 // WithPrescreen enables the Phase-0 static prescreen (the weseer vet
 // template analysis): candidate pairs and cycle groups whose conflict
 // condition is provably UNSAT are discarded before the solver.
 func WithPrescreen() Option {
-	return func(o *Options) { o.StaticPrescreen = true }
+	return func(o *options) { o.StaticPrescreen = true }
 }
 
 // WithSolverLimits bounds each satisfiability check.
 func WithSolverLimits(l solver.Limits) Option {
-	return func(o *Options) { o.Solver = l }
+	return func(o *options) { o.Solver = l }
 }
 
 // WithCoarseOnly stops after phase 2 and reports raw coarse cycles — the
 // STEPDAD/REDACT baseline mode (Sec. VII-B).
 func WithCoarseOnly() Option {
-	return func(o *Options) { o.CoarseOnly = true }
+	return func(o *options) { o.CoarseOnly = true }
 }
 
 // WithConcretePlans restricts lock modeling to recorded execution plans
 // (the paper's Sec. V-D refinement).
 func WithConcretePlans() Option {
-	return func(o *Options) { o.UseConcretePlans = true }
+	return func(o *options) { o.UseConcretePlans = true }
 }
 
 // WithMaxCyclesPerPair caps coarse-cycle enumeration per transaction
 // pair (0 = unlimited).
 func WithMaxCyclesPerPair(n int) Option {
-	return func(o *Options) { o.MaxCyclesPerPair = n }
+	return func(o *options) { o.MaxCyclesPerPair = n }
 }
 
 // WithoutPhase1 disables the transaction-level filter (ablation).
 func WithoutPhase1() Option {
-	return func(o *Options) { o.SkipPhase1 = true }
+	return func(o *options) { o.SkipPhase1 = true }
 }
 
 // WithoutLockFilter disables the quick lock-collision test before SMT
 // solving (ablation: every deduplicated coarse cycle goes to the solver).
 func WithoutLockFilter() Option {
-	return func(o *Options) { o.SkipLockFilter = true }
+	return func(o *options) { o.SkipLockFilter = true }
 }
 
 // WithObserver attaches an observability sink: the run emits spans
@@ -119,35 +109,20 @@ func WithoutLockFilter() Option {
 // guarantee — byte-identical reports at any parallelism — holds with
 // the observer attached. The default (nil) is a no-op.
 func WithObserver(o *obs.Observer) Option {
-	return func(opts *Options) { opts.Observer = o }
+	return func(opts *options) { opts.Observer = o }
 }
 
 // WithoutMemo disables solver-call memoization (ablation).
 func WithoutMemo() Option {
-	return func(o *Options) { o.DisableMemo = true }
-}
-
-// WithoutEnumIndex disables the indexed, parallel candidate enumeration
-// (ablation): phases 1–2 fall back to the serial quadratic pair loop.
-// The report is byte-identical either way.
-func WithoutEnumIndex() Option {
-	return func(o *Options) { o.DisableEnumIndex = true }
+	return func(o *options) { o.DisableMemo = true }
 }
 
 // NewAnalyzer returns an analyzer for a schema, configured by functional
-// options. This is the preferred constructor; New remains as a shim over
-// the legacy Options struct.
+// options.
 func NewAnalyzer(scm *schema.Schema, opts ...Option) *Analyzer {
-	var o Options
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
 	return &Analyzer{scm: scm, opts: o}
-}
-
-// New returns an analyzer for a schema.
-//
-// Deprecated: use NewAnalyzer with functional options.
-func New(scm *schema.Schema, opts Options) *Analyzer {
-	return &Analyzer{scm: scm, opts: opts}
 }

@@ -358,7 +358,7 @@ type edgeKey struct {
 // edgeCondCached builds — or reuses — the conflict condition of one
 // C-edge. Cycles overlap heavily: every cycle sharing a C-edge used to
 // rebuild an identical condition expression from scratch. The cache
-// builds each distinct edge once per Analyze call and interns the
+// builds each distinct edge once per AnalyzeContext call and interns the
 // result, so downstream canonicalization hits its per-node memo on the
 // shared subtrees. Fresh range variables are prefixed per edge
 // ("rng.r1.", "rng.r2."), which keeps the built condition independent

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -302,5 +304,128 @@ func TestManyEventsReload(t *testing.T) {
 	}
 	if s2.Len() != 500 {
 		t.Fatalf("len = %d", s2.Len())
+	}
+}
+
+// TestStoreConcurrentIngestAndQuery drives one store from several
+// goroutines, as `weseer serve` does with concurrent clients: writers
+// ingest overlapping event batches while readers run the pattern, event
+// and table queries. With a constant clock the final state does not
+// depend on ingest order, so it must equal a serial ingest of the same
+// batches byte for byte.
+func TestStoreConcurrentIngestAndQuery(t *testing.T) {
+	const universe, writers, batchesPer, batchLen, readers = 60, 8, 5, 20, 4
+	var all []Event
+	for i := 0; i < universe; i++ {
+		all = append(all, Event{
+			Fingerprint: fmt.Sprintf("%016x", i),
+			Class:       fmt.Sprintf("f%d", i%11+1),
+			APIs:        [2]string{fmt.Sprintf("API%d", i%5), fmt.Sprintf("API%d", i%3)},
+			Tables:      []string{fmt.Sprintf("T%d", i%7), fmt.Sprintf("T%d", i%4)},
+			Count:       i%3 + 1,
+		})
+	}
+	// Batch (w, b) is a wrapping window of the universe; windows of
+	// different batches overlap, so most ingests mix new and known
+	// fingerprints.
+	batch := func(w, b int) []Event {
+		out := make([]Event, batchLen)
+		for k := range out {
+			out[k] = all[(w*11+b*5+k)%universe]
+		}
+		return out
+	}
+	t0 := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	open := func(name string) *Store {
+		s, err := Open(filepath.Join(t.TempDir(), name), WithClock(func() time.Time { return t0 }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+
+	serial := open("serial.wal")
+	var wantStored, wantDeduped int
+	for w := 0; w < writers; w++ {
+		for b := 0; b < batchesPer; b++ {
+			sum, err := serial.Ingest(batch(w, b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantStored += sum.Stored
+			wantDeduped += sum.Deduped
+		}
+	}
+
+	conc := open("concurrent.wal")
+	var (
+		wg, rg          sync.WaitGroup
+		stored, deduped atomic.Int64
+		done            = make(chan struct{})
+		errs            = make(chan error, writers+readers)
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batchesPer; b++ {
+				sum, err := conc.Ingest(batch(w, b))
+				if err != nil {
+					errs <- err
+					return
+				}
+				stored.Add(int64(sum.Stored))
+				deduped.Add(int64(sum.Deduped))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func(r int) {
+			defer rg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				p := conc.Patterns()
+				if p.Sightings < p.Events {
+					errs <- fmt.Errorf("patterns: %d sightings < %d events", p.Sightings, p.Events)
+					return
+				}
+				evs := conc.Events(EventQuery{Table: fmt.Sprintf("T%d", r)})
+				for i := 1; i < len(evs); i++ {
+					if evs[i-1].Fingerprint >= evs[i].Fingerprint {
+						errs <- fmt.Errorf("events out of fingerprint order: %s, %s",
+							evs[i-1].Fingerprint, evs[i].Fingerprint)
+						return
+					}
+				}
+				conc.TableCounts(time.Time{})
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if got, want := stored.Load(), int64(wantStored); got != want || got != universe {
+		t.Errorf("stored = %d, want %d (= %d distinct fingerprints)", got, want, universe)
+	}
+	if got := deduped.Load(); got != int64(wantDeduped) {
+		t.Errorf("deduped = %d, want %d", got, wantDeduped)
+	}
+	if conc.Sightings() != serial.Sightings() || conc.Len() != serial.Len() {
+		t.Errorf("concurrent store: %d events, %d sightings; serial: %d, %d",
+			conc.Len(), conc.Sightings(), serial.Len(), serial.Sightings())
+	}
+	if got, want := snapshot(t, conc), snapshot(t, serial); string(got) != string(want) {
+		t.Errorf("concurrent ingest diverged from serial:\n got %s\nwant %s", got, want)
 	}
 }

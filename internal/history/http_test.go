@@ -256,8 +256,35 @@ func TestIngestErrors(t *testing.T) {
 		t.Errorf("no-analyzer status %d", resp.StatusCode)
 	}
 
-	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 3 {
-		t.Errorf("ingest_errors_total = %v, want 3", got)
+	// A body over the limit is a 413, not a truncated-JSON decode error.
+	defer func(n int64) { maxIngestBody = n }(maxIngestBody)
+	maxIngestBody = 16
+	resp, err = http.Post(ts.URL+"/ingest?format=events", obs.ContentTypeJSON,
+		strings.NewReader(`[{"fingerprint":"0123456789abcdef"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body status %d: %s", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "exceeds 16 bytes") {
+		t.Errorf("oversized body error %q", body)
+	}
+	// A body of exactly the limit still decodes.
+	resp, err = http.Post(ts.URL+"/ingest?format=events", obs.ContentTypeJSON,
+		strings.NewReader("[]"+strings.Repeat(" ", 14)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("at-limit body status %d", resp.StatusCode)
+	}
+
+	if got := reg.Snapshot()["weseer_history_ingest_errors_total"]; got != 4 {
+		t.Errorf("ingest_errors_total = %v, want 4", got)
 	}
 
 	// Bad window on a query endpoint.

@@ -67,7 +67,7 @@ func TestCatalogReproducesDeadlocked(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := core.NewAnalyzer(app.schema).Analyze(traces)
+		res := analyze(t, app.schema, traces)
 		byClass := map[string][]*core.Deadlock{}
 		for _, d := range res.Deadlocks {
 			if id := app.classify(d); len(id) >= 2 && id[0] == 'd' && id[1] >= '0' && id[1] <= '9' {

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"context"
 	"testing"
 
 	"weseer/internal/apps/appkit"
@@ -8,7 +9,19 @@ import (
 	"weseer/internal/concolic"
 	"weseer/internal/core"
 	"weseer/internal/minidb"
+	"weseer/internal/schema"
+	"weseer/internal/trace"
 )
+
+// analyze diagnoses the traces and fails the test on error.
+func analyze(t *testing.T, scm *schema.Schema, traces []*trace.Trace, opts ...core.Option) *core.Result {
+	t.Helper()
+	res, err := core.NewAnalyzer(scm, opts...).AnalyzeContext(context.Background(), traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func analyzeBroadleaf(t *testing.T) (*core.Result, func() (*minidb.DB, []appkit.UnitTest)) {
 	t.Helper()
@@ -17,7 +30,7 @@ func analyzeBroadleaf(t *testing.T) (*core.Result, func() (*minidb.DB, []appkit.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.New(broadleaf.Schema(), core.Options{}).Analyze(traces)
+	res := analyze(t, broadleaf.Schema(), traces)
 	mkState := func() (*minidb.DB, []appkit.UnitTest) {
 		fresh := broadleaf.New(broadleaf.Fixes{}, minidb.Config{})
 		return fresh.DB, fresh.UnitTests()

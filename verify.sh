@@ -65,12 +65,13 @@ rm -rf "$vetdir"
 # The parallel discharge pipeline (worker pool + memo singleflight +
 # cancellation) is the concurrency-bearing code; run it under the race
 # detector, together with the concurrent-client workload harness that
-# drives the fix-verification loop, and the concolic engine, whose
-# process-wide stack-resolution cache those clients reach through orm.
-# Scoped to the packages that share state across goroutines to keep the
-# gate fast.
-echo "== go test -race (core, solver, smt, workload, concolic)"
-go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... ./internal/concolic/...
+# drives the fix-verification loop, the concolic engine, whose
+# process-wide stack-resolution cache those clients reach through orm,
+# and the history store, which `weseer serve` shares between concurrent
+# ingest and query requests. Scoped to the packages that share state
+# across goroutines to keep the gate fast.
+echo "== go test -race (core, solver, smt, workload, concolic, history)"
+go test -race ./internal/core/... ./internal/solver/... ./internal/smt/... ./internal/workload/... ./internal/concolic/... ./internal/history/...
 
 # Compile-and-run smoke of the microbenchmarks (one iteration each):
 # catches bit-rot in bench-only code without paying for real timing runs.
@@ -107,12 +108,17 @@ echo "$genout" | grep -Eq '^  f1 +[0-9]+ report' || {
     exit 1
 }
 
-# Enumeration smoke: one tiny corpus through all three phase-1/2 modes
-# (naive pair loop, indexed, indexed-parallel). The experiment exits
-# nonzero unless the three reports are byte-identical, so this doubles
-# as a cross-process differential check; -enumout "" skips the artifact.
-echo "== enumeration smoke (weseer-bench -exp enum, tiny corpus)"
-go run ./cmd/weseer-bench -exp enum -enumsizes 24 -enumout "" >/dev/null
+# Examples smoke: the public-API walkthroughs must not only compile but
+# diagnose. quickstart must report its planted deadlock with a
+# reproducing assignment; customapp must run to completion.
+echo "== examples smoke (quickstart, customapp)"
+qsout=$(go run ./examples/quickstart)
+echo "$qsout" | grep -q 'reproducing assignment' || {
+    echo "examples smoke: quickstart reported no deadlock:" >&2
+    echo "$qsout" >&2
+    exit 1
+}
+go run ./examples/customapp >/dev/null
 
 # Fix-verification smoke: a tiny pinned-seed generated corpus through
 # the full fixgain loop — diagnose, plan ranked fixes, apply each

@@ -158,11 +158,6 @@ type (
 	Deadlock = core.Deadlock
 	// SolverLimits bound each satisfiability check.
 	SolverLimits = solver.Limits
-
-	// AnalyzerOptions configure an analysis run.
-	//
-	// Deprecated: use NewAnalyzer with functional options.
-	AnalyzerOptions = core.Options
 )
 
 // Functional analysis options, applied by NewAnalyzer.
@@ -187,10 +182,6 @@ var (
 	WithoutLockFilter = core.WithoutLockFilter
 	// WithoutMemo disables solver-call memoization (ablation).
 	WithoutMemo = core.WithoutMemo
-	// WithoutEnumIndex disables the indexed, parallel candidate
-	// enumeration (ablation): phases 1–2 fall back to the serial
-	// quadratic pair loop. Reports are byte-identical either way.
-	WithoutEnumIndex = core.WithoutEnumIndex
 	// WithObserver attaches an observability sink to the analysis.
 	WithObserver = core.WithObserver
 )
@@ -228,11 +219,4 @@ func NewAnalyzer(s *Schema, opts ...AnalyzerOption) *Analyzer {
 // NewAnalyzer(s, opts...).AnalyzeContext(ctx, traces).
 func AnalyzeContext(ctx context.Context, s *Schema, traces []*Trace, opts ...AnalyzerOption) (*AnalysisResult, error) {
 	return core.NewAnalyzer(s, opts...).AnalyzeContext(ctx, traces)
-}
-
-// Analyze runs WeSEER's three-phase deadlock diagnosis over the traces.
-//
-// Deprecated: use AnalyzeContext with functional options.
-func Analyze(s *Schema, traces []*Trace, opts AnalyzerOptions) *AnalysisResult {
-	return core.New(s, opts).Analyze(traces)
 }
